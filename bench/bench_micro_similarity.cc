@@ -68,7 +68,7 @@ const PaperBatch& SharedPaperBatch() {
 }
 
 /// Scalar baseline: the element-at-a-time reference merge per pair (what
-/// every PairInfo cache miss ran before the batched kernel).
+/// every PairInfo call ran before the batched kernel).
 void BM_PaperScalarPairs(benchmark::State& state) {
   const PaperBatch& fixture = SharedPaperBatch();
   for (auto _ : state) {

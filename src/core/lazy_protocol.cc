@@ -60,7 +60,7 @@ void ScreenProposals(P3QSystem* system, const P3QNode* receiver,
   // Pass 0 (no rng): step-1 screens that need no randomness, then the one
   // batched kernel call. A candidate sharing no item with the receiver has
   // an all-zero PairSimilarity by definition, so only genuinely overlapping
-  // pairs are scored (or cached) at all.
+  // pairs are scored at all.
   enum : signed char { kSkip = 0, kShares = 1, kNoShare = 2 };
   std::vector<signed char> state(proposals.size(), kSkip);
   std::vector<std::size_t> batch_slot(proposals.size(), 0);
@@ -98,7 +98,7 @@ void ScreenProposals(P3QSystem* system, const P3QNode* receiver,
       // Bloom screen's rng behaviour.
       if (!DigestIndicatesCommonItem(mine, d, rng)) continue;
     }
-    const double fpp = d.digest().EstimatedFpp();
+    const double fpp = d.digest_fpp();
 
     // Step 2 — the receiver derives the apparently-common items by testing
     // her own items against the candidate's Bloom digest (true common items
@@ -163,8 +163,8 @@ void CommitReplicaFill(P3QSystem* system, P3QNode* receiver,
   for (UserId w : receiver->network().EntriesNeedingProfile()) {
     ProfilePtr replica = sender->FindUsableProfile(w);
     if (replica == nullptr) continue;
-    const std::uint32_t known = receiver->network().KnownVersion(w);
     const NetworkEntry* entry = receiver->network().Find(w);
+    const std::uint32_t known = entry->digest.version();
     const std::uint32_t stored = entry->HasStoredProfile()
                                      ? entry->stored_profile->version()
                                      : PersonalNetwork::kNoVersion;
@@ -270,8 +270,8 @@ void LazyProtocol::PlanBottomLayer(P3QNode* node, const PlanContext& ctx,
   std::vector<DigestInfo> fetched;
   for (const DigestInfo& d : node->random_view().entries()) {
     if (!node->ShouldProbe(d.user, d.version())) continue;
-    if (node->network().KnownVersion(d.user) != PersonalNetwork::kNoVersion &&
-        node->network().KnownVersion(d.user) >= d.version()) {
+    const std::uint32_t known = node->network().KnownVersion(d.user);
+    if (known != PersonalNetwork::kNoVersion && known >= d.version()) {
       continue;
     }
     if (!DigestIndicatesCommonItem(mine, d, ctx.rng)) continue;

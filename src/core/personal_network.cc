@@ -1,6 +1,7 @@
 #include "core/personal_network.h"
 
 #include <algorithm>
+#include <string>
 
 namespace p3q {
 namespace {
@@ -15,13 +16,17 @@ bool EntryBefore(const NetworkEntry& a, const NetworkEntry& b) {
 }  // namespace
 
 PersonalNetwork::PersonalNetwork(UserId self, int s, int c)
-    : self_(self), s_(s), c_(c) {
-  entries_.reserve(static_cast<std::size_t>(s));
+    : self_(self), s_(s), c_(c) {}
+
+std::size_t PersonalNetwork::IndexOf(UserId user) const {
+  std::size_t i = 0;
+  while (i < entries_.size() && entries_[i].user != user) ++i;
+  return i;
 }
 
 const NetworkEntry* PersonalNetwork::Find(UserId user) const {
-  auto it = index_.find(user);
-  return it == index_.end() ? nullptr : &entries_[it->second];
+  const std::size_t i = IndexOf(user);
+  return i == entries_.size() ? nullptr : &entries_[i];
 }
 
 std::uint32_t PersonalNetwork::KnownVersion(UserId user) const {
@@ -29,18 +34,29 @@ std::uint32_t PersonalNetwork::KnownVersion(UserId user) const {
   return e == nullptr ? kNoVersion : e->digest.version();
 }
 
-void PersonalNetwork::Reindex() {
-  index_.clear();
-  for (std::size_t i = 0; i < entries_.size(); ++i) {
-    index_[entries_[i].user] = i;
+std::size_t PersonalNetwork::Reposition(std::size_t from) {
+  const auto first = entries_.begin();
+  const auto pos = first + static_cast<std::ptrdiff_t>(from);
+  std::size_t to = from;
+  if (pos != first && EntryBefore(*pos, *(pos - 1))) {
+    // Moves up: in front of the first entry it now ranks before.
+    const auto dest = std::upper_bound(first, pos, *pos, EntryBefore);
+    to = static_cast<std::size_t>(dest - first);
+    std::rotate(dest, pos, pos + 1);
+  } else if (pos + 1 != entries_.end() && EntryBefore(*(pos + 1), *pos)) {
+    // Moves down: behind the last entry that still ranks before it.
+    const auto dest = std::lower_bound(pos + 1, entries_.end(), *pos,
+                                       EntryBefore);
+    to = static_cast<std::size_t>(dest - first) - 1;
+    std::rotate(pos, pos + 1, dest);
   }
-}
-
-void PersonalNetwork::RebalanceStorage() {
-  // Exactly the entries ranked in the top-c may hold replicas.
-  for (std::size_t i = static_cast<std::size_t>(c_); i < entries_.size(); ++i) {
-    entries_[i].stored_profile.reset();
-  }
+  // Only entries ranked in the top-c may hold replicas, and just two can
+  // have crossed rank c: the moved entry, and the one pushed down to rank c
+  // when the moved entry rose past it.
+  const std::size_t c = static_cast<std::size_t>(c_);
+  if (to >= c) entries_[to].stored_profile.reset();
+  if (c < entries_.size()) entries_[c].stored_profile.reset();
+  return to;
 }
 
 ConsiderOutcome PersonalNetwork::Consider(UserId user, std::uint64_t score,
@@ -49,13 +65,15 @@ ConsiderOutcome PersonalNetwork::Consider(UserId user, std::uint64_t score,
   ConsiderOutcome outcome;
   if (user == self_ || score == 0) return outcome;
 
-  auto it = index_.find(user);
-  if (it != index_.end()) {
-    NetworkEntry& entry = entries_[it->second];
+  std::size_t from = IndexOf(user);
+  std::uint32_t old_stored_version = kNoVersion;
+  if (from != entries_.size()) {
+    NetworkEntry& entry = entries_[from];
     // Refresh only when the offered digest is at least as new as ours.
     if (digest.version() < entry.digest.version()) return outcome;
-    const std::uint32_t old_stored_version =
-        entry.HasStoredProfile() ? entry.stored_profile->version() : kNoVersion;
+    if (entry.HasStoredProfile()) {
+      old_stored_version = entry.stored_profile->version();
+    }
     entry.score = score;
     entry.digest = digest;
     if (replica != nullptr &&
@@ -63,41 +81,32 @@ ConsiderOutcome PersonalNetwork::Consider(UserId user, std::uint64_t score,
          replica->version() > old_stored_version)) {
       entry.stored_profile = std::move(replica);
     }
-    std::sort(entries_.begin(), entries_.end(), EntryBefore);
-    RebalanceStorage();
-    Reindex();
-    outcome.accepted = true;
-    // A transfer happened iff the entry now stores a replica strictly newer
-    // than what it stored before (or one where none existed).
-    const NetworkEntry* now = Find(user);
-    outcome.stored_profile =
-        now->HasStoredProfile() &&
-        (old_stored_version == kNoVersion ||
-         now->stored_profile->version() > old_stored_version);
-    return outcome;
+  } else {
+    // New candidate: qualify against the current worst when full.
+    if (static_cast<int>(entries_.size()) >= s_) {
+      NetworkEntry probe;
+      probe.user = user;
+      probe.score = score;
+      if (!EntryBefore(probe, entries_.back())) return outcome;
+      entries_.pop_back();
+    }
+    NetworkEntry entry;
+    entry.user = user;
+    entry.score = score;
+    entry.digest = digest;
+    entry.timestamp = 0;
+    entry.stored_profile = std::move(replica);
+    entries_.push_back(std::move(entry));
+    from = entries_.size() - 1;
   }
-
-  // New candidate: qualify against the current worst when full.
-  if (static_cast<int>(entries_.size()) >= s_) {
-    const NetworkEntry& worst = entries_.back();
-    NetworkEntry probe;
-    probe.user = user;
-    probe.score = score;
-    if (!EntryBefore(probe, worst)) return outcome;
-    entries_.pop_back();
-  }
-  NetworkEntry entry;
-  entry.user = user;
-  entry.score = score;
-  entry.digest = digest;
-  entry.timestamp = 0;
-  entry.stored_profile = std::move(replica);
-  entries_.push_back(std::move(entry));
-  std::sort(entries_.begin(), entries_.end(), EntryBefore);
-  RebalanceStorage();
-  Reindex();
+  const NetworkEntry& now = entries_[Reposition(from)];
   outcome.accepted = true;
-  outcome.stored_profile = Find(user)->HasStoredProfile();
+  // A transfer happened iff the entry now stores a replica strictly newer
+  // than what it stored before (or one where none existed).
+  outcome.stored_profile =
+      now.HasStoredProfile() &&
+      (old_stored_version == kNoVersion ||
+       now.stored_profile->version() > old_stored_version);
   return outcome;
 }
 
@@ -140,8 +149,8 @@ void PersonalNetwork::TouchGossiped(UserId user) {
 }
 
 void PersonalNetwork::ResetTimestamp(UserId user) {
-  auto it = index_.find(user);
-  if (it != index_.end()) entries_[it->second].timestamp = 0;
+  const std::size_t i = IndexOf(user);
+  if (i != entries_.size()) entries_[i].timestamp = 0;
 }
 
 std::vector<ProfilePtr> PersonalNetwork::StoredProfiles() const {
@@ -173,18 +182,19 @@ std::vector<UserId> PersonalNetwork::MembersWithoutProfile() const {
 }
 
 void PersonalNetwork::Remove(UserId user) {
-  auto it = index_.find(user);
-  if (it == index_.end()) return;
-  entries_.erase(entries_.begin() + static_cast<std::ptrdiff_t>(it->second));
-  RebalanceStorage();
-  Reindex();
+  // Later entries move up one rank; none crosses rank c downwards.
+  const std::size_t i = IndexOf(user);
+  if (i != entries_.size()) {
+    entries_.erase(entries_.begin() + static_cast<std::ptrdiff_t>(i));
+  }
 }
 
 void PersonalNetwork::RestoreEntries(std::vector<NetworkEntry> entries) {
   entries_ = std::move(entries);
   std::sort(entries_.begin(), entries_.end(), EntryBefore);
-  RebalanceStorage();
-  Reindex();
+  for (std::size_t i = static_cast<std::size_t>(c_); i < entries_.size(); ++i) {
+    entries_[i].stored_profile.reset();
+  }
 }
 
 std::size_t PersonalNetwork::StoredProfileActions() const {
@@ -193,6 +203,41 @@ std::size_t PersonalNetwork::StoredProfileActions() const {
     if (e.HasStoredProfile()) total += e.stored_profile->Length();
   }
   return total;
+}
+
+std::string PersonalNetwork::CheckInvariants() const {
+  if (entries_.size() > static_cast<std::size_t>(s_)) {
+    return "holds " + std::to_string(entries_.size()) + " entries, s = " +
+           std::to_string(s_);
+  }
+  std::vector<UserId> users = Members();
+  std::sort(users.begin(), users.end());
+  if (std::adjacent_find(users.begin(), users.end()) != users.end()) {
+    return "holds a user twice";
+  }
+  auto violation = [](std::size_t i, const NetworkEntry& e, const char* what) {
+    return "entry " + std::to_string(i) + " (user " + std::to_string(e.user) +
+           ") " + what;
+  };
+  for (std::size_t i = 0; i < entries_.size(); ++i) {
+    const NetworkEntry& e = entries_[i];
+    if (i > 0 && !EntryBefore(entries_[i - 1], e)) {
+      return violation(i, e, "is out of order");
+    }
+    if (e.user == self_) return violation(i, e, "is the owner");
+    if (e.HasStoredProfile()) {
+      if (i >= static_cast<std::size_t>(c_)) {
+        return violation(i, e, "stores a replica outside the top-c");
+      }
+      if (e.stored_profile->version() > e.digest.version()) {
+        return violation(i, e, "stores a replica newer than its digest");
+      }
+    }
+    if (Find(e.user) != &e || !Contains(e.user)) {
+      return violation(i, e, "is not what Find returns");
+    }
+  }
+  return "";
 }
 
 }  // namespace p3q

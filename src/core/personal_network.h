@@ -10,7 +10,7 @@
 #define P3Q_CORE_PERSONAL_NETWORK_H_
 
 #include <cstdint>
-#include <unordered_map>
+#include <string>
 #include <vector>
 
 #include "gossip/view.h"
@@ -58,9 +58,10 @@ class PersonalNetwork {
   /// Entries ordered by descending score (ties: ascending user id).
   const std::vector<NetworkEntry>& entries() const { return entries_; }
 
-  bool Contains(UserId user) const { return index_.count(user) > 0; }
+  bool Contains(UserId user) const { return Find(user) != nullptr; }
 
-  /// Entry of `user`, or nullptr.
+  /// Entry of `user`, or nullptr. A linear scan: s is at most a few hundred
+  /// and the entries are contiguous, so no side index is kept.
   const NetworkEntry* Find(UserId user) const;
 
   /// Version of the digest we hold for `user`; kNoVersion when absent.
@@ -73,7 +74,9 @@ class PersonalNetwork {
   /// entries hold profiles. `replica` may be null when the caller only has
   /// the digest; in that case the entry joins without a stored profile even
   /// if it ranks top-c (the caller should then fetch the profile — see
-  /// EntriesNeedingProfile).
+  /// EntriesNeedingProfile). The changed entry moves to its new rank in
+  /// place (one binary search and one rotate), and only the entries that
+  /// cross rank c lose their replicas.
   ConsiderOutcome Consider(UserId user, std::uint64_t score,
                            const DigestInfo& digest, ProfilePtr replica);
 
@@ -116,19 +119,35 @@ class PersonalNetwork {
   std::size_t StoredProfileActions() const;
 
   /// Checkpoint restore: replaces the contents with `entries`, re-sorting
-  /// into canonical order and rebuilding the index. Entries past the top-c
-  /// lose any stored replica (the storage invariant).
+  /// into canonical order. Entries past the top-c lose any stored replica
+  /// (the storage invariant).
   void RestoreEntries(std::vector<NetworkEntry> entries);
 
+  /// Bytes held by the entry array: its capacity, not its size. The array
+  /// grows on demand rather than reserving s entries up front, so this
+  /// follows how full the network has been.
+  std::size_t EntryBytes() const {
+    return entries_.capacity() * sizeof(NetworkEntry);
+  }
+
+  /// Checks the structural invariants: entries in canonical order, at most
+  /// s of them, no self entry, no duplicate user, replicas only in the
+  /// top-c and never newer than their digest, and Find/Contains agreeing
+  /// with entries(). Returns the first violation, or "" when all hold.
+  std::string CheckInvariants() const;
+
  private:
-  void Reindex();
-  void RebalanceStorage();
+  /// Position of `user`'s entry, or size() when absent.
+  std::size_t IndexOf(UserId user) const;
+
+  /// Moves the entry at `from` to its rank in canonical order and drops the
+  /// replicas of entries that crossed rank c; returns its new position.
+  std::size_t Reposition(std::size_t from);
 
   UserId self_;
   int s_;
   int c_;
-  std::vector<NetworkEntry> entries_;               // sorted: score desc, id asc
-  std::unordered_map<UserId, std::size_t> index_;   // user -> position
+  std::vector<NetworkEntry> entries_;  // sorted: score desc, id asc
 };
 
 }  // namespace p3q

@@ -25,6 +25,8 @@ struct DigestInfo {
 
   std::uint32_t version() const { return snapshot->version(); }
   const BloomFilter& digest() const { return snapshot->digest(); }
+  /// The digest's estimated false-positive rate (precomputed per snapshot).
+  double digest_fpp() const { return snapshot->DigestFpp(); }
 
   /// Wire size of the descriptor: digest bits + the user id.
   std::size_t WireBytes() const {
@@ -39,7 +41,7 @@ struct DigestInfo {
 inline bool DigestIndicatesCommonItem(const Profile& mine,
                                       const DigestInfo& theirs, Rng* rng) {
   if (mine.SharesItemWith(*theirs.snapshot)) return true;
-  const double fpp = theirs.digest().EstimatedFpp();
+  const double fpp = theirs.digest_fpp();
   const double miss_all =
       std::pow(1.0 - fpp, static_cast<double>(mine.NumItems()));
   return rng->NextBool(1.0 - miss_all);

@@ -75,6 +75,10 @@ class Profile {
   /// Bloom digest over the profile's items (what gossip messages carry).
   const BloomFilter& digest() const { return digest_; }
 
+  /// The digest's estimated false-positive rate, digest().EstimatedFpp(),
+  /// computed once when the snapshot is built (the digest never changes).
+  double DigestFpp() const { return digest_fpp_; }
+
   /// Block-bitmap scoring index (profile/score_kernel.h), built once at
   /// snapshot construction; what the batched similarity kernels run on.
   const ScoreIndex& index() const { return index_; }
@@ -125,6 +129,7 @@ class Profile {
   std::uint32_t version_;
   std::size_t num_items_;
   BloomFilter digest_;
+  double digest_fpp_ = 0;
 
   /// Packed storage: arena block when arena_ is set, heap_ otherwise.
   std::shared_ptr<SlabArena> arena_;

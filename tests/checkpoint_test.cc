@@ -3,6 +3,8 @@
 // resume must produce byte-identical reports for every K, thread count and
 // latency model), corrupt-input robustness, and the checked-in golden v1
 // snapshot that pins the on-disk format.
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -28,8 +30,12 @@
 namespace p3q {
 namespace {
 
+/// A scratch path private to this process: ctest runs every test in its own
+/// process, in parallel under -j, and several tests (or a suite's shared
+/// set-up) would otherwise write the same file at once.
 std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + name;
+  return ::testing::TempDir() + "p3q_" + std::to_string(getpid()) + "_" +
+         name;
 }
 
 std::vector<std::uint8_t> ReadFileBytes(const std::string& path) {

@@ -52,6 +52,7 @@ TEST_P(ProtocolSweep, LazyModeInvariantsHoldEveryCycle) {
       // Size and storage bounds.
       ASSERT_LE(net.size(), static_cast<std::size_t>(param.s));
       ASSERT_LE(net.StoredProfiles().size(), static_cast<std::size_t>(param.c));
+      ASSERT_EQ(net.CheckInvariants(), "") << "user " << u;
       // Entries are score-ordered, positive, self-free; replicas only in
       // the top-c prefix and owned by the right user.
       std::uint64_t last_score = ~std::uint64_t{0};

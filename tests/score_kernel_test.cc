@@ -355,7 +355,7 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // ---------------------------------------------------------------------------
-// P3QSystem::PairInfoBatch — the lock-striped cache's batched lookup.
+// P3QSystem::PairInfoBatch — one kernel sweep per call, oriented per pair.
 // ---------------------------------------------------------------------------
 
 TEST(PairInfoBatchTest, MatchesPerPairPairInfoAndCaches) {
@@ -376,7 +376,7 @@ TEST(PairInfoBatchTest, MatchesPerPairPairInfoAndCaches) {
     EXPECT_EQ(batched[i].a_actions_on_common, single.a_actions_on_common);
     EXPECT_EQ(batched[i].b_actions_on_common, single.b_actions_on_common);
   }
-  // A second batched lookup is all cache hits and must return the same.
+  // A repeated batch must return the same.
   const std::vector<PairSimilarity> again =
       system.PairInfoBatch(mine, candidates);
   for (std::size_t i = 0; i < candidates.size(); ++i) {

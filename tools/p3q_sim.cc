@@ -783,8 +783,10 @@ int RunScenarioMode(const Options& opt) {
               << m.arena_live_blocks << " snapshots, "
               << m.arena_recycled_slabs << " recycled); pool "
               << m.pool_hits << " hits / " << m.pool_misses
-              << " misses; pair cache " << m.pair_cache_entries
-              << " entries, " << m.pair_cache_evictions << " evicted\n";
+              << " misses; personal networks "
+              << TablePrinter::Fmt(
+                     m.personal_network_bytes / 1024.0 / 1024.0, 1)
+              << " MiB\n";
   }
 
   if (!opt.json_path.empty() &&
